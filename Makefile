@@ -3,17 +3,20 @@
 # snapshot future PRs are compared against; `make bench-gate` enforces
 # the perf contract on the hot paths: 0 allocs/op for encode, the
 # scratch entry points, the clean and corrected decodes (SSC, DEC,
-# BF+BF, batched tile), and the decodes with a journal subscriber or a
-# latency probe attached; absolute latency ceilings on the
-# candidate-free fast path (clean decode <= 250 ns/op, corrected SSC
-# <= 400 ns/op, encode <= 200 ns/op); metrics attachment within 1.25x
-# of the bare clean decode and the other attached-path variants within
-# 3x of their bare counterparts; every latency-gated scenario within
-# -gate-tolerance of the committed BENCH_decode.json baseline; and the
+# BF+BF, batched tile), the decodes with a journal subscriber or a
+# latency probe attached, and the wire transpose both ways; absolute
+# latency ceilings on the candidate-free fast path (clean decode
+# <= 250 ns/op, corrected SSC <= 400 ns/op, encode <= 200 ns/op);
+# metrics attachment within 1.25x of the bare clean decode, each wire
+# direction within 1x of it, and the other attached-path variants
+# within 3x of their bare counterparts; every latency-gated scenario
+# within -gate-tolerance of the committed BENCH_decode.json baseline;
+# and the
 # remainder->hint tables within their 4 MiB per-codec budget.
 # `make fastpath-smoke` proves the fast path bit-identical to the
 # legacy enumeration (differential tables, decode equivalence, golden
-# vectors). `make bench-compare OLD=old.json` prints the before/after
+# vectors) and the word-parallel wire transpose bit-identical to the
+# bitwise one. `make bench-compare OLD=old.json` prints the before/after
 # table for a perf PR.
 
 GO ?= go
@@ -25,11 +28,15 @@ ci: vet build race fastpath-smoke smoke-campaign scrub-smoke bench-gate report-s
 # Differential proof that the candidate-free fast path (remainder->hint
 # tables + incremental MAC) decodes bit-identically to the legacy
 # enumeration: per-remainder candidate-list equality, randomized decode
-# equivalence, incremental-MAC algebra, and the pinned golden vectors.
+# equivalence, incremental-MAC algebra, and the pinned golden vectors;
+# and that the beat-row wire transpose matches the bitwise gather and
+# scatter (exhaustive single-bit, random bursts, then a short fuzz).
 fastpath-smoke:
 	$(GO) test ./internal/poly -run 'TestHintTableDifferential|TestChipKillPlus1Differential|TestFastDecodeEquivalence|TestHintTableBytes|TestGoldenVectors' -count=1
 	$(GO) test ./internal/mac -run 'TestSumSave|TestSumFrom' -count=1
-	@echo "fastpath-smoke: hint tables and incremental MAC match enumeration"
+	$(GO) test ./internal/dram -run 'TestWordMatchesBitwiseOracle|FuzzWordRoundTrip' -count=1
+	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzWordRoundTrip$$' -fuzztime 5s -parallel 2
+	@echo "fastpath-smoke: hint tables, incremental MAC and wire transpose match their references"
 
 build:
 	$(GO) build ./...

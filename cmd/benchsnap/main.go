@@ -12,8 +12,9 @@
 //   - allocation: encode (EncodeLineInto), the scratch entry points, the
 //     clean and corrected decodes (SSC, DEC, BF+BF, and the batched
 //     tile), the clean decode with a journal subscriber attached (the
-//     live health engine's tap), and both decodes with a latency probe
-//     attached must all run at 0 allocs/op;
+//     live health engine's tap), both decodes with a latency probe
+//     attached, and the wire transpose in each direction (FromBurstScratch,
+//     ToBurst) must all run at 0 allocs/op;
 //   - latency ceilings: the candidate-free fast path is pinned to
 //     absolute budgets — clean decode ≤ 250 ns/op, corrected SSC
 //     ≤ 400 ns/op, encode ≤ 200 ns/op (best of three runs, so a single
@@ -25,7 +26,7 @@
 //     counterpart measured in the same run (a ratio, so machine noise
 //     that moves both paths together cannot fail the gate) — metrics
 //     attachment in particular may cost at most 1.25x a bare clean
-//     decode;
+//     decode, and each direction of the wire transpose at most 1x;
 //   - memory: each small-M codec's remainder→hint tables must fit the
 //     4 MiB budget.
 //
@@ -250,6 +251,7 @@ func main() {
 	// path must still be allocation-free (nothing is recorded), and the
 	// corrected path's record-and-fan-out must hold the latency budget.
 	scratch := bare.NewScratch()
+	cleanBurst := bare.ToBurst(clean)
 	correctedSSC := decodeBench(bare, bad, false)
 	lcoll := latency.NewCollector()
 	lcode := bare.WithLatency(lcoll.Probe())
@@ -346,6 +348,31 @@ func main() {
 					_, rep := lcode.DecodeLineScratch(clean, lscratch)
 					if rep.Status != polyecc.StatusClean {
 						b.Fatalf("unexpected status %v", rep.Status)
+					}
+				}
+			}},
+		// The wire transpose moves a line between the 40-bit beat rows
+		// and its eight symbol-folded codewords. Each direction must cost
+		// no more than the clean decode it feeds (ROADMAP item 1's "wire
+		// round trip ≤ 1× clean decode"), so reading a line off the
+		// module can never again dominate the decode itself.
+		{name: "wire/from-burst", allocFree: true,
+			ratioOf: "decode/clean", maxRatio: 1,
+			fn: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if l := bare.FromBurstScratch(&cleanBurst, scratch); l.Words[0] != clean.Words[0] {
+						b.Fatal("wire read diverged")
+					}
+				}
+			}},
+		{name: "wire/to-burst", allocFree: true,
+			ratioOf: "decode/clean", maxRatio: 1,
+			fn: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if bare.ToBurst(clean) != cleanBurst {
+						b.Fatal("wire write diverged")
 					}
 				}
 			}},

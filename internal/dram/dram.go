@@ -12,7 +12,9 @@
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"polyecc/internal/wideint"
 )
@@ -77,10 +79,7 @@ func (b *Burst) IsZero() bool {
 func (b *Burst) OnesCount() int {
 	n := 0
 	for _, v := range b {
-		for v != 0 {
-			n++
-			v &= v - 1
-		}
+		n += bits.OnesCount8(v)
 	}
 	return n
 }
@@ -107,43 +106,115 @@ func (g WordGeometry) WordsPerBurst() int { return Beats / g.BeatsPerWord() }
 // WordBits returns the codeword width in bits.
 func (g WordGeometry) WordBits() int { return Devices * g.SymbolBits }
 
-// Validate checks the geometry is one the channel supports.
+// Validate checks the geometry is one the channel supports: 4-, 8- or
+// 16-bit symbols (whole beats per symbol, codewords that fit a U192).
 func (g WordGeometry) Validate() error {
-	if g.SymbolBits%PinsPerDevice != 0 || g.SymbolBits <= 0 || Beats%g.BeatsPerWord() != 0 {
+	if g.SymbolBits%PinsPerDevice != 0 || g.SymbolBits <= 0 || Beats%g.BeatsPerWord() != 0 || g.WordBits() > 192 {
 		return fmt.Errorf("dram: unsupported symbol width %d", g.SymbolBits)
 	}
 	return nil
 }
 
-// wireCoord maps bit i of codeword w to its (beat, pin) wire coordinate:
-// symbol s = device s, filled beat-major (Figure 2(b): an 8-bit symbol
-// holds two beats of one x4 device).
-func (g WordGeometry) wireCoord(w, i int) (beat, pin int) {
-	s := i / g.SymbolBits
-	k := i % g.SymbolBits
-	beat = w*g.BeatsPerWord() + k/PinsPerDevice
-	pin = s*PinsPerDevice + k%PinsPerDevice
-	return
+// A beat row is the 40 wire bits of one beat, pin p at bit p. Pins fill
+// whole bytes, so beat r is exactly bytes rowBytes*r .. rowBytes*r+4.
+const rowBytes = Pins / 8
+
+func (b *Burst) row(beat int) uint64 {
+	o := beat * rowBytes
+	return uint64(binary.LittleEndian.Uint32(b[o:])) | uint64(b[o+4])<<32
+}
+
+func (b *Burst) setRow(beat int, v uint64) {
+	o := beat * rowBytes
+	binary.LittleEndian.PutUint32(b[o:], uint32(v))
+	b[o+4] = byte(v >> 32)
+}
+
+// spread8 moves nibble t of the low 32 bits of x to bit 8t, and spread16
+// nibble t of the low 16 bits to bit 16t: the device nibbles of a beat
+// row land at the bottom of their symbol slots in one 64-bit limb.
+// compact8 and compact16 are the inverses, ignoring every bit outside
+// those nibbles.
+func spread8(x uint64) uint64 {
+	x = (x&0xffffffff | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	return (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+}
+
+func spread16(x uint64) uint64 {
+	x = (x&0xffff | x<<24) & 0x000000ff000000ff
+	return (x | x<<12) & 0x000f000f000f000f
+}
+
+func compact8(x uint64) uint64 {
+	x &= 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0xffffffff
+}
+
+func compact16(x uint64) uint64 {
+	x &= 0x000f000f000f000f
+	x = (x | x>>12) & 0x000000ff000000ff
+	return (x | x>>24) & 0xffff
 }
 
 // Word extracts codeword w of the burst as an integer whose bit layout
-// places symbol s at bit offset s*SymbolBits.
+// places symbol s at bit offset s*SymbolBits: symbol s = device s, filled
+// beat-major (Figure 2(b): an 8-bit symbol is nibble s of the word's
+// first beat row below nibble s of its second). Each beat row is loaded
+// once and its ten nibbles spread into their symbol slots a 64-bit limb
+// at a time; a nibble never straddles a limb.
 func (g WordGeometry) Word(b *Burst, w int) wideint.U192 {
-	var u wideint.U192
-	for i := 0; i < g.WordBits(); i++ {
-		beat, pin := g.wireCoord(w, i)
-		if b.Bit(beat, pin) != 0 {
-			u = u.SetBit(i, 1)
+	switch g.SymbolBits {
+	case 4:
+		return wideint.U192{W0: b.row(w)}
+	case 8:
+		r0, r1 := b.row(2*w), b.row(2*w+1)
+		return wideint.U192{W0: spread8(r0) | spread8(r1)<<4, W1: spread8(r0>>32) | spread8(r1>>32)<<4}
+	case 16:
+		var u wideint.U192
+		for j := uint(0); j < 4; j++ {
+			r := b.row(4*w + int(j))
+			u.W0 |= spread16(r) << (4 * j)
+			u.W1 |= spread16(r>>16) << (4 * j)
+			u.W2 |= spread16(r>>32) << (4 * j)
 		}
+		return u
 	}
-	return u
+	panic(fmt.Sprintf("dram: unsupported symbol width %d", g.SymbolBits))
 }
 
-// SetWord stores an integer codeword back into the burst.
+// SetWord stores an integer codeword back into the burst, overwriting
+// the codeword's beat rows whole; bits at or above WordBits are ignored.
 func (g WordGeometry) SetWord(b *Burst, w int, u wideint.U192) {
-	for i := 0; i < g.WordBits(); i++ {
-		beat, pin := g.wireCoord(w, i)
-		b.SetBit(beat, pin, u.Bit(i))
+	switch g.SymbolBits {
+	case 4:
+		b.setRow(w, u.W0)
+	case 8:
+		b.setRow(2*w, compact8(u.W0)|compact8(u.W1)<<32)
+		b.setRow(2*w+1, compact8(u.W0>>4)|compact8(u.W1>>4)<<32)
+	case 16:
+		for j := uint(0); j < 4; j++ {
+			b.setRow(4*w+int(j), compact16(u.W0>>(4*j))|compact16(u.W1>>(4*j))<<16|compact16(u.W2>>(4*j))<<32)
+		}
+	default:
+		panic(fmt.Sprintf("dram: unsupported symbol width %d", g.SymbolBits))
+	}
+}
+
+// Words extracts the burst's codewords into dst in order; dst holds
+// WordsPerBurst words.
+func (g WordGeometry) Words(b *Burst, dst []wideint.U192) {
+	for w := range dst {
+		dst[w] = g.Word(b, w)
+	}
+}
+
+// SetWords stores src's codewords into the burst in order.
+func (g WordGeometry) SetWords(b *Burst, src []wideint.U192) {
+	for w, u := range src {
+		g.SetWord(b, w, u)
 	}
 }
 
@@ -183,12 +254,11 @@ const BambooBeats = Beats / BambooWordsPerBurst
 // p gathering pin p across the 8 beats of that half.
 func BambooWord(b *Burst, h int) []byte {
 	out := make([]byte, Pins)
-	for p := 0; p < Pins; p++ {
-		var v byte
-		for k := 0; k < BambooBeats; k++ {
-			v |= byte(b.Bit(h*BambooBeats+k, p)) << uint(k)
+	for k := 0; k < BambooBeats; k++ {
+		row := b.row(h*BambooBeats + k)
+		for p := range out {
+			out[p] |= byte(row>>p&1) << k
 		}
-		out[p] = v
 	}
 	return out
 }
@@ -211,12 +281,7 @@ func SetBambooWord(b *Burst, h int, sym []byte) {
 func DeviceMask(dev int, beatLo, beatHi int, patterns []byte) Burst {
 	var m Burst
 	for beat := beatLo; beat < beatHi; beat++ {
-		nib := patterns[beat-beatLo]
-		for p := 0; p < PinsPerDevice; p++ {
-			if nib>>uint(p)&1 != 0 {
-				m.SetBit(beat, dev*PinsPerDevice+p, 1)
-			}
-		}
+		m.setRow(beat, uint64(patterns[beat-beatLo]&0xf)<<(dev*PinsPerDevice))
 	}
 	return m
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,11 @@ func TestWordGeometryValidate(t *testing.T) {
 	if err := (WordGeometry{SymbolBits: 16}).Validate(); err != nil {
 		t.Error(err)
 	}
-	for _, s := range []int{0, 3, 5, 7} {
+	if err := (WordGeometry{SymbolBits: 4}).Validate(); err != nil {
+		t.Error(err)
+	}
+	// 32- and 64-bit symbols tile the burst but overflow a U192 codeword.
+	for _, s := range []int{0, 3, 5, 7, 12, 32, 64} {
 		if err := (WordGeometry{SymbolBits: s}).Validate(); err == nil {
 			t.Errorf("symbol width %d should be invalid", s)
 		}
@@ -76,6 +81,102 @@ func TestWordCounts(t *testing.T) {
 	if g16.WordsPerBurst() != 4 || g16.WordBits() != 160 || g16.BeatsPerWord() != 4 {
 		t.Fatalf("16-bit geometry wrong: %d %d %d", g16.WordsPerBurst(), g16.WordBits(), g16.BeatsPerWord())
 	}
+}
+
+// geometries are the symbol-folded views Validate accepts.
+var geometries = []WordGeometry{{SymbolBits: 4}, {SymbolBits: 8}, {SymbolBits: 16}}
+
+// wireCoord maps bit i of codeword w to its (beat, pin) wire coordinate
+// straight from Figure 2(b): symbol s = device s, filled beat-major. It
+// and the two bitwise helpers below are the reference the word-parallel
+// Word/SetWord are held to.
+func wireCoord(g WordGeometry, w, i int) (beat, pin int) {
+	s, k := i/g.SymbolBits, i%g.SymbolBits
+	return w*g.BeatsPerWord() + k/PinsPerDevice, s*PinsPerDevice + k%PinsPerDevice
+}
+
+func oracleWord(g WordGeometry, b *Burst, w int) wideint.U192 {
+	var u wideint.U192
+	for i := 0; i < g.WordBits(); i++ {
+		u = u.SetBit(i, b.Bit(wireCoord(g, w, i)))
+	}
+	return u
+}
+
+func oracleSetWord(g WordGeometry, b *Burst, w int, u wideint.U192) {
+	for i := 0; i < g.WordBits(); i++ {
+		beat, pin := wireCoord(g, w, i)
+		b.SetBit(beat, pin, u.Bit(i))
+	}
+}
+
+// checkOracle asserts Word and SetWord match the bitwise reference on
+// every word of b: extraction bit for bit, and storing u over b's
+// current contents (so SetWord must clear bits as well as set them).
+func checkOracle(t testing.TB, g WordGeometry, b *Burst, u wideint.U192) {
+	t.Helper()
+	for w := 0; w < g.WordsPerBurst(); w++ {
+		if got, want := g.Word(b, w), oracleWord(g, b, w); got != want {
+			t.Fatalf("symbolBits=%d word %d: Word %v, bitwise %v (burst %x)", g.SymbolBits, w, got, want, b[:])
+		}
+		got, want := *b, *b
+		g.SetWord(&got, w, u)
+		oracleSetWord(g, &want, w, u)
+		if got != want {
+			t.Fatalf("symbolBits=%d word %d: SetWord(%v) diverges from bitwise (burst %x)", g.SymbolBits, w, u, b[:])
+		}
+	}
+}
+
+func TestWordMatchesBitwiseOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, g := range geometries {
+		// Every single-bit burst, stored over by a random word.
+		for beat := 0; beat < Beats; beat++ {
+			for pin := 0; pin < Pins; pin++ {
+				b := BitMask(beat, pin)
+				checkOracle(t, g, &b, wideint.U192{W0: r.Uint64(), W1: r.Uint64(), W2: r.Uint64()})
+			}
+		}
+		// Every single-bit word stored over a random non-zero burst.
+		for i := 0; i < g.WordBits(); i++ {
+			b := randBurst(r)
+			checkOracle(t, g, &b, wideint.U192{}.SetBit(i, 1))
+		}
+		for trial := 0; trial < 10000; trial++ {
+			b := randBurst(r)
+			checkOracle(t, g, &b, wideint.U192{W0: r.Uint64(), W1: r.Uint64(), W2: r.Uint64()})
+		}
+	}
+}
+
+// FuzzWordRoundTrip holds Word/SetWord to the bitwise reference on
+// arbitrary bursts, and Words/SetWords to a lossless round trip.
+func FuzzWordRoundTrip(f *testing.F) {
+	f.Add(make([]byte, BurstBytes))
+	f.Add([]byte{0xff, 0x01, 0x80, 0x5a})
+	full := make([]byte, BurstBytes)
+	for i := range full {
+		full[i] = byte(i*37 + 11)
+	}
+	f.Add(full)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var b, over Burst
+		copy(b[:], in)
+		for i := range over {
+			over[i] = ^b[len(b)-1-i]
+		}
+		for _, g := range geometries {
+			checkOracle(t, g, &b, g.Word(&over, 0))
+			words := make([]wideint.U192, g.WordsPerBurst())
+			g.Words(&b, words)
+			got := over
+			g.SetWords(&got, words)
+			if got != b {
+				t.Fatalf("symbolBits=%d: Words/SetWords not a round trip", g.SymbolBits)
+			}
+		}
+	})
 }
 
 func TestWordRoundTrip(t *testing.T) {
@@ -252,6 +353,26 @@ func TestBitMask(t *testing.T) {
 func TestDeviceOfPin(t *testing.T) {
 	if DeviceOfPin(0) != 0 || DeviceOfPin(3) != 0 || DeviceOfPin(4) != 1 || DeviceOfPin(39) != 9 {
 		t.Fatal("DeviceOfPin wrong")
+	}
+}
+
+func BenchmarkWords(b *testing.B) {
+	var burst Burst
+	for i := range burst {
+		burst[i] = byte(i)
+	}
+	for _, g := range geometries {
+		words := make([]wideint.U192, g.WordsPerBurst())
+		b.Run(fmt.Sprintf("s%d/from-burst", g.SymbolBits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.Words(&burst, words)
+			}
+		})
+		b.Run(fmt.Sprintf("s%d/to-burst", g.SymbolBits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.SetWords(&burst, words)
+			}
+		})
 	}
 }
 

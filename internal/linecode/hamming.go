@@ -31,14 +31,13 @@ func (*Hamming) Name() string { return "Hamming SEC-DED" }
 
 // Encode implements Code.
 func (c *Hamming) Encode(data *[LineBytes]byte) dram.Burst {
-	var b dram.Burst
-	for w := 0; w < c.geo.WordsPerBurst(); w++ {
+	var words [LineBytes / 8]wideint.U192
+	for w := range words {
 		cw := hamming.Encode(binary.LittleEndian.Uint64(data[8*w:]))
-		var u wideint.U192
-		u = u.WithField(0, 64, cw.Data)
-		u = u.WithField(64, 8, uint64(cw.Check))
-		c.geo.SetWord(&b, w, u)
+		words[w] = wideint.U192{W0: cw.Data, W1: uint64(cw.Check)}
 	}
+	var b dram.Burst
+	c.geo.SetWords(&b, words[:])
 	return b
 }
 
@@ -46,9 +45,10 @@ func (c *Hamming) Encode(data *[LineBytes]byte) dram.Burst {
 func (c *Hamming) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
-	for w := 0; w < c.geo.WordsPerBurst(); w++ {
-		u := c.geo.Word(b, w)
-		cw := hamming.Codeword{Data: u.Field(0, 64), Check: uint8(u.Field(64, 8))}
+	var words [LineBytes / 8]wideint.U192
+	c.geo.Words(b, words[:])
+	for w, u := range words {
+		cw := hamming.Codeword{Data: u.W0, Check: uint8(u.W1)}
 		dec, st := hamming.Decode(cw)
 		switch st {
 		case hamming.Clean, hamming.CorrectedSingle:

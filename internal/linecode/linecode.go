@@ -117,10 +117,11 @@ func (c *RS) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
 	for w := 0; w < c.geo.WordsPerBurst(); w++ {
-		res, err := c.code.Decode(c.geo.WordBytes(b, w))
+		cw := c.geo.WordBytes(b, w)
+		res, err := c.code.Decode(cw)
 		if err != nil {
 			outcome = DUE
-			copy(data[8*w:], c.geo.WordBytes(b, w)[:8])
+			copy(data[8*w:], cw[:8])
 			continue
 		}
 		copy(data[8*w:], res.Corrected[:8])
@@ -162,10 +163,11 @@ func (c *Unity) Decode(b *dram.Burst) ([LineBytes]byte, Outcome, int) {
 	var data [LineBytes]byte
 	outcome := OK
 	for w := 0; w < c.geo.WordsPerBurst(); w++ {
-		res, err := c.code.Decode(c.geo.WordBytes(b, w))
+		cw := c.geo.WordBytes(b, w)
+		res, err := c.code.Decode(cw)
 		if err != nil {
 			outcome = DUE
-			copy(data[8*w:], c.geo.WordBytes(b, w)[:8])
+			copy(data[8*w:], cw[:8])
 			continue
 		}
 		copy(data[8*w:], res.Corrected[:8])

@@ -43,6 +43,53 @@ func TestCleanRoundTrip(t *testing.T) {
 	}
 }
 
+// A DUE word keeps its raw wire bytes in the returned data, and the
+// other words of the line are still corrected: the RS and Unity adapters
+// read each codeword off the wire once and reuse it on the DUE branch.
+func TestDUEKeepsRawWord(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	g := dram.WordGeometry{SymbolBits: 8}
+	rsc, uc := NewRS(), NewUnity()
+	for _, tc := range []struct {
+		code  Code
+		fails func(cw []byte) bool
+	}{
+		{rsc, func(cw []byte) bool { _, err := rsc.code.Decode(cw); return err != nil }},
+		{uc, func(cw []byte) bool { _, err := uc.code.Decode(cw); return err != nil }},
+	} {
+		data := randLine(r)
+		b := tc.code.Encode(&data)
+		const bad = 3
+		var raw []byte
+		for {
+			raw = g.WordBytes(&b, bad)
+			for k := 0; k < 3; k++ {
+				raw[r.Intn(len(raw))] ^= byte(1 + r.Intn(255))
+			}
+			if tc.fails(raw) {
+				break
+			}
+		}
+		g.SetWordBytes(&b, bad, raw)
+		// A correctable single-symbol error in another word.
+		m := dram.DeviceMask(4, 2, 4, []byte{0x5, 0xa})
+		b.Xor(&m)
+		got, outcome, _ := tc.code.Decode(&b)
+		if outcome != DUE {
+			t.Fatalf("%s: outcome %v, want DUE", tc.code.Name(), outcome)
+		}
+		for w := 0; w < g.WordsPerBurst(); w++ {
+			want := data[8*w : 8*w+8]
+			if w == bad {
+				want = raw[:8]
+			}
+			if string(got[8*w:8*w+8]) != string(want) {
+				t.Fatalf("%s word %d: data %x, want %x", tc.code.Name(), w, got[8*w:8*w+8], want)
+			}
+		}
+	}
+}
+
 // Every scheme must correct a whole-device (ChipKill) failure — the
 // baseline guarantee all four codes advertise (Table V, first row).
 func TestAllCodesCorrectChipKill(t *testing.T) {

@@ -32,11 +32,7 @@ const batchTile = 32
 func (c *Code) DecodeLines(dst []Result, lines []Line, s *Scratch) []Result {
 	c.checkScratch(s)
 	for off := 0; off < len(lines); off += batchTile {
-		end := off + batchTile
-		if end > len(lines) {
-			end = len(lines)
-		}
-		dst = c.decodeTile(dst, lines[off:end], off, s)
+		dst = c.decodeTile(dst, lines[off:min(off+batchTile, len(lines))], off, s)
 	}
 	return dst
 }
@@ -76,7 +72,8 @@ func (c *Code) decodeTile(dst []Result, tile []Line, off int, s *Scratch) []Resu
 }
 
 // decodeLineInto decodes one line into a prepared Result with panic
-// isolation — the batched counterpart of ParallelDecoder.decodeOne.
+// isolation: a panicking decode (a nil Code included) is recovered into
+// that line's Err instead of crashing the worker or the batch.
 func (c *Code) decodeLineInto(r *Result, l Line, s *Scratch) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -86,7 +83,6 @@ func (c *Code) decodeLineInto(r *Result, l Line, s *Scratch) {
 	r.Data, r.Report = c.DecodeLineScratch(l, s)
 }
 
-
 // FromBurstInto is FromBurst reading into a caller-owned words slice
 // (reused when it has capacity), for batch consumers that keep one Line
 // arena per batch slot instead of borrowing the Scratch's single buffer.
@@ -95,10 +91,7 @@ func (c *Code) FromBurstInto(dst []wideint.U192, b *dram.Burst) Line {
 		dst = make([]wideint.U192, c.words)
 	}
 	dst = dst[:c.words]
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
-	for w := range dst {
-		dst[w] = g.Word(b, w)
-	}
+	c.wire().Words(b, dst)
 	return Line{Words: dst}
 }
 

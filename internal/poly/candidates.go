@@ -2,7 +2,7 @@ package poly
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"polyecc/internal/residue"
 	"polyecc/internal/wideint"
@@ -100,17 +100,12 @@ func (c *Code) applyCorrection(w wideint.U192, co correction) (wideint.U192, boo
 // flipsOf returns the XOR pattern a correction implies on one symbol of a
 // word, for fault-model consistency checks.
 func (c *Code) flipsOf(w wideint.U192, sd symDelta) (uint64, bool) {
-	if c.fastSym8 {
-		v := int64(getSym8(w, sd.Sym))
-		nv := v - sd.Delta
-		if nv < 0 || nv > 255 {
-			return 0, false
-		}
-		return uint64(v ^ nv), true
+	var v int64
+	if S := c.cfg.Geometry.SymbolBits; c.fastSym8 {
+		v = int64(getSym8(w, sd.Sym))
+	} else {
+		v = int64(w.Field(sd.Sym*S, S))
 	}
-	S := c.cfg.Geometry.SymbolBits
-	off := sd.Sym * S
-	v := int64(w.Field(off, S))
 	nv := v - sd.Delta
 	if nv < 0 || nv > c.maxSym() {
 		return 0, false
@@ -178,18 +173,6 @@ func (c *Code) finishCandidates(w wideint.U192, raw []correction, model FaultMod
 		}
 	}
 	return out
-}
-
-// sortCandidatesLegacy is finishCandidates's original sort.SliceStable
-// ordering, kept (test-only via the golden vectors) as the executable
-// definition the insertion sort above must match.
-func (c *Code) sortCandidatesLegacy(out []correction) {
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].valid != out[j].valid {
-			return out[i].valid
-		}
-		return out[i].cost() < out[j].cost()
-	})
 }
 
 // symbolCandidates evaluates Eq. 2 into the scratch buffer. Within one
@@ -392,8 +375,9 @@ func (c *Code) buildBFBFHints() map[uint64][]pairHint {
 // (distinct first-symbol deltas of one (pair, deltaB) combination always
 // share the derived value, so duplicates carry no information).
 func dedupeHints(table map[uint64][]pairHint) {
+	seen := make(map[pairHint]bool)
 	for rem, hs := range table {
-		seen := make(map[pairHint]bool, len(hs))
+		clear(seen)
 		out := hs[:0]
 		for _, h := range hs {
 			if !seen[h] {
@@ -401,7 +385,7 @@ func dedupeHints(table map[uint64][]pairHint) {
 				out = append(out, h)
 			}
 		}
-		table[rem] = out
+		table[rem] = slices.Clone(out) // drop append's slack: the code keeps these
 	}
 }
 

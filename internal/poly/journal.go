@@ -85,10 +85,8 @@ func (r *AnomalyRecorder) RecordDecode(l Line, rep *Report, base telemetry.Event
 	if r.journal == nil {
 		return
 	}
-	anomalous := rep.Status != StatusClean || rep.ECCFixed || sdc
-	if !anomalous {
-		r.trail = r.trail[:0]
-		r.dropped = 0
+	defer func() { r.trail, r.dropped = r.trail[:0], 0 }()
+	if rep.Status == StatusClean && !rep.ECCFixed && !sdc {
 		return
 	}
 	detail := telemetry.DecodeAnomaly{
@@ -127,6 +125,4 @@ func (r *AnomalyRecorder) RecordDecode(l Line, rep *Report, base telemetry.Event
 	}
 	base.Detail = &detail
 	r.journal.Record(base)
-	r.trail = r.trail[:0]
-	r.dropped = 0
 }

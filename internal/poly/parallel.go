@@ -2,7 +2,6 @@ package poly
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -91,10 +90,7 @@ dispatch:
 		if ctx.Err() != nil {
 			break
 		}
-		hi := lo + decodeBatchSize
-		if hi > len(lines) {
-			hi = len(lines)
-		}
+		hi := min(lo+decodeBatchSize, len(lines))
 		select {
 		case jobs <- span{lo: lo, hi: hi}:
 			dispatched = hi
@@ -117,7 +113,8 @@ dispatch:
 func (p *ParallelDecoder) decodeSpan(code *Code, sp span, lines []Line, results []Result, s *Scratch) {
 	if code == nil {
 		for i := sp.lo; i < sp.hi; i++ {
-			decodeOne(code, i, lines, results, s)
+			results[i] = Result{Index: i}
+			code.decodeLineInto(&results[i], lines[i], s)
 		}
 		return
 	}
@@ -125,17 +122,4 @@ func (p *ParallelDecoder) decodeSpan(code *Code, sp span, lines []Line, results 
 	for i := range out {
 		out[i].Index = sp.lo + i
 	}
-}
-
-// decodeOne runs a single decode with panic isolation: a panicking
-// decode is recovered into that line's Err instead of crashing the
-// worker (and with it the process sharing this pool).
-func decodeOne(code *Code, i int, lines []Line, results []Result, s *Scratch) {
-	defer func() {
-		if r := recover(); r != nil {
-			results[i] = Result{Index: i, Err: fmt.Errorf("poly: decode of line %d panicked: %v", i, r)}
-		}
-	}()
-	data, rep := code.DecodeLineScratch(lines[i], s)
-	results[i] = Result{Index: i, Data: data, Report: rep}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,18 +52,11 @@ const (
 	ModelChipKillPlus1
 )
 
+var modelNames = [...]string{ModelChipKill: "ChipKill", ModelSSC: "SSC", ModelDEC: "DEC", ModelBFBF: "BF+BF", ModelChipKillPlus1: "ChipKill+1"}
+
 func (m FaultModel) String() string {
-	switch m {
-	case ModelChipKill:
-		return "ChipKill"
-	case ModelSSC:
-		return "SSC"
-	case ModelDEC:
-		return "DEC"
-	case ModelBFBF:
-		return "BF+BF"
-	case ModelChipKillPlus1:
-		return "ChipKill+1"
+	if m >= 0 && int(m) < len(modelNames) {
+		return modelNames[m]
 	}
 	return fmt.Sprintf("FaultModel(%d)", int(m))
 }
@@ -76,10 +70,8 @@ var DefaultModels = []FaultModel{ModelChipKill, ModelSSC, ModelBFBF, ModelChipKi
 // controller needs to turn journaled model labels back into a trial
 // order.
 func ModelFromName(name string) (FaultModel, bool) {
-	for _, m := range []FaultModel{ModelChipKill, ModelSSC, ModelDEC, ModelBFBF, ModelChipKillPlus1} {
-		if m.String() == name {
-			return m, true
-		}
+	if i := slices.Index(modelNames[:], name); i >= 0 {
+		return FaultModel(i), true
 	}
 	return 0, false
 }
@@ -551,20 +543,15 @@ func (c *Code) patchWord(word wideint.U192, w int, work *[LineBytes]byte, embedd
 // ToBurst lays an encoded line onto the DDR5 wire (for experiments that
 // inject physical faults shared with the baseline codes).
 func (c *Code) ToBurst(l Line) dram.Burst {
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
 	var b dram.Burst
-	for w, word := range l.Words {
-		g.SetWord(&b, w, word)
-	}
+	c.wire().SetWords(&b, l.Words)
 	return b
 }
 
 // FromBurst reads an encoded line off the wire.
-func (c *Code) FromBurst(b *dram.Burst) Line {
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
-	words := make([]wideint.U192, c.words)
-	for w := range words {
-		words[w] = g.Word(b, w)
-	}
-	return Line{Words: words}
+func (c *Code) FromBurst(b *dram.Burst) Line { return c.FromBurstInto(nil, b) }
+
+// wire is the symbol-folded burst view this code's lines travel in.
+func (c *Code) wire() dram.WordGeometry {
+	return dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
 }

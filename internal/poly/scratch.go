@@ -2,6 +2,7 @@ package poly
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"polyecc/internal/dram"
@@ -187,10 +188,7 @@ func (c *Code) EncodeLineScratch(data *[LineBytes]byte, s *Scratch) Line {
 // on s. Decoding the returned Line with the same Scratch is safe.
 func (c *Code) FromBurstScratch(b *dram.Burst, s *Scratch) Line {
 	c.checkScratch(s)
-	g := dram.WordGeometry{SymbolBits: c.cfg.Geometry.SymbolBits}
-	for w := range s.dec {
-		s.dec[w] = g.Word(b, w)
-	}
+	c.wire().Words(b, s.dec)
 	return Line{Words: s.dec}
 }
 
@@ -299,14 +297,7 @@ func (c *Code) WithModels(models []FaultModel) (*Code, error) {
 		return nil, fmt.Errorf("poly: WithModels needs at least one model")
 	}
 	for _, m := range models {
-		found := false
-		for _, have := range c.models {
-			if m == have {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(c.models, m) {
 			return nil, fmt.Errorf("poly: model %s is not configured on this code", m)
 		}
 	}

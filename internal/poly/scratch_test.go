@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"polyecc/internal/mac"
@@ -84,7 +85,6 @@ func TestScratchMatchesLegacy(t *testing.T) {
 // TestFinishCandidatesOrdering pins the hand-rolled insertion sort to the
 // original sort.SliceStable ordering on randomized candidate lists.
 func TestFinishCandidatesOrdering(t *testing.T) {
-	c := testCodeM2005(t)
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		n := r.Intn(40)
@@ -122,7 +122,7 @@ func TestFinishCandidatesOrdering(t *testing.T) {
 			}
 			a[j] = co
 		}
-		c.sortCandidatesLegacy(b)
+		sortCandidatesLegacy(b)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("trial %d: order diverges at %d: %+v vs %+v", trial, i, a[i], b[i])
@@ -161,4 +161,16 @@ func TestWithMetricsSharesTables(t *testing.T) {
 	if rep.Elapsed == 0 {
 		t.Error("instrumented copy did not stamp Elapsed")
 	}
+}
+
+// sortCandidatesLegacy is finishCandidates's original sort.SliceStable
+// ordering, kept as the executable definition the insertion sort must
+// match.
+func sortCandidatesLegacy(out []correction) {
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].valid != out[j].valid {
+			return out[i].valid
+		}
+		return out[i].cost() < out[j].cost()
+	})
 }
