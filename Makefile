@@ -106,11 +106,11 @@ report-smoke:
 	@rm -rf $(SMOKE_DIR)
 	@echo "report-smoke: journal -> eccreport round trip OK"
 
-# Scenario engine end to end: the preset registry lists, a deprecated
-# flag spelling prints its equivalence note and produces byte-identical
-# output to its -scenario preset, a user-authored spec file runs on the
-# virtual clock, and the run summary's scenario digest reaches the
-# report's Scenario section.
+# Scenario engine end to end: the preset registry lists, a preset run
+# is byte-identical to the same preset exported with -dump-spec and run
+# as a -spec file, a retired flag spelling (-poly) is rejected, a
+# user-authored spec file runs on the virtual clock, and the run
+# summary's scenario digest reaches the report's Scenario section.
 SCEN_DIR := $(shell mktemp -u -d /tmp/polyecc-scenario.XXXXXX)
 scenario-smoke:
 	@mkdir -p $(SCEN_DIR)
@@ -118,22 +118,20 @@ scenario-smoke:
 	@$(SCEN_DIR)/faultinject -list-scenarios > $(SCEN_DIR)/list.txt
 	@grep -q 'memctlsoak' $(SCEN_DIR)/list.txt \
 		|| { echo "scenario-smoke: preset registry incomplete" >&2; exit 1; }
-	@grep -q 'Deprecated flag spellings' $(SCEN_DIR)/list.txt \
-		|| { echo "scenario-smoke: deprecation notes missing from -list-scenarios" >&2; exit 1; }
 	@$(SCEN_DIR)/faultinject -scenario polysoak -n 60 -seed 9 \
-		-summary $(SCEN_DIR)/run.json > $(SCEN_DIR)/new.txt
-	@$(SCEN_DIR)/faultinject -poly -injections 60 -seed 9 \
-		> $(SCEN_DIR)/old.txt 2> $(SCEN_DIR)/note.txt
-	@grep -q 'deprecated; the equivalent preset is' $(SCEN_DIR)/note.txt \
-		|| { echo "scenario-smoke: deprecated flag printed no equivalence note" >&2; exit 1; }
-	@cmp -s $(SCEN_DIR)/new.txt $(SCEN_DIR)/old.txt \
-		|| { echo "scenario-smoke: -poly and -scenario polysoak outputs diverge" >&2; exit 1; }
+		-summary $(SCEN_DIR)/run.json > $(SCEN_DIR)/preset.txt
+	@$(SCEN_DIR)/faultinject -scenario polysoak -dump-spec > $(SCEN_DIR)/polysoak.json
+	@$(SCEN_DIR)/faultinject -spec $(SCEN_DIR)/polysoak.json -n 60 -seed 9 > $(SCEN_DIR)/spec.txt
+	@cmp -s $(SCEN_DIR)/preset.txt $(SCEN_DIR)/spec.txt \
+		|| { echo "scenario-smoke: -scenario polysoak and its exported -spec diverge" >&2; exit 1; }
+	@if $(SCEN_DIR)/faultinject -poly -n 60 >/dev/null 2>&1; then \
+		echo "scenario-smoke: retired -poly spelling still accepted" >&2; exit 1; fi
 	@$(SCEN_DIR)/faultinject -spec examples/scenarios/mixed-tenants.json -n 120 >/dev/null
 	$(GO) run ./cmd/eccreport -summary $(SCEN_DIR)/run.json -o $(SCEN_DIR)/report.html
 	@grep -q '<h2>Scenario</h2>' $(SCEN_DIR)/report.html \
 		|| { echo "scenario-smoke: report missing Scenario section" >&2; exit 1; }
 	@rm -rf $(SCEN_DIR)
-	@echo "scenario-smoke: presets, deprecated spellings, spec file, report section OK"
+	@echo "scenario-smoke: presets, preset vs exported spec, retired spelling, spec file, report section OK"
 
 # Live health end to end: a seeded rowhammer storm soak serves its health
 # engine on a random port, ecctop blocks until the SLO tracker pages,

@@ -6,6 +6,7 @@
 package polyecc_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"polyecc/internal/exp"
 	"polyecc/internal/mac"
 	"polyecc/internal/poly"
+	"polyecc/internal/scenario"
 )
 
 // BenchmarkTableII profiles out-of-model misdetection for Hamming(72,64)
@@ -61,20 +63,33 @@ func BenchmarkTableVI(b *testing.B) {
 	}
 }
 
+// runPreset runs a built-in scenario preset with n trials (per client
+// for the figure campaigns) at the given seed.
+func runPreset(b *testing.B, name string, n int, seed int64) {
+	p, ok := scenario.LookupPreset(name)
+	if !ok {
+		b.Fatalf("no preset %q", name)
+	}
+	s := p.Build()
+	s.Seed = seed
+	s.SetBudget(n)
+	if _, err := scenario.Run(context.Background(), s, scenario.Opts{}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkFigure4 runs the workload fault-injection campaign (reduced
 // injection count).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Figure4(5, 1); err != nil {
-			b.Fatal(err)
-		}
+		runPreset(b, "figure4", 5, 1)
 	}
 }
 
 // BenchmarkFigure5 runs the inference fault-injection campaign.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp.Figure5(40, 1)
+		runPreset(b, "figure5", 40, 1)
 	}
 }
 

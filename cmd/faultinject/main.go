@@ -68,9 +68,9 @@
 //	faultinject -scenario polysoak -journal events.jsonl -summary run.json -chrome-trace timeline.json
 //	faultinject -scenario polysoak -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// The pre-scenario flag spellings (-fig 4, -fig 5, -poly, -storm,
-// -memctl) are deprecated but still honored; each maps to its preset
-// with identical schedules and counts for the same seed.
+// A run names its scenario exactly one way: -spec, -replay, or
+// -scenario (default figure4, so a bare invocation runs Figure 4).
+// Naming two of them, or -memctl without -replay, is an error.
 //
 // -cpuprofile and -memprofile write offline pprof profiles bracketing the
 // campaign; they are produced on a graceful drain (Ctrl-C, -timeout) too,
@@ -102,21 +102,15 @@ import (
 
 func main() {
 	specPath := flag.String("spec", "", "run the scenario spec in this JSON file")
-	scenarioName := flag.String("scenario", "", "run a built-in scenario preset by name or alias (-list-scenarios prints the registry)")
+	scenarioName := flag.String("scenario", "figure4", "run a built-in scenario preset by name (-list-scenarios prints the registry)")
 	replayPath := flag.String("replay", "", "re-run the decode anomalies recorded in this journal JSONL as an injection schedule (add -memctl to close the controller loop)")
-	listScenarios := flag.Bool("list-scenarios", false, "list the built-in scenario presets and the deprecated flag spellings, then exit")
+	memctlMode := flag.Bool("memctl", false, "with -replay: close the replay's loop through the adaptive memory controller")
+	listScenarios := flag.Bool("list-scenarios", false, "list the built-in scenario presets, then exit")
 	dumpSpec := flag.Bool("dump-spec", false, "print the resolved scenario spec as JSON and exit without running it")
-
-	// Deprecated spellings, kept for compatibility: each maps to a preset.
-	fig := flag.Int("fig", 0, "deprecated: use -scenario figure4 / -scenario figure5")
-	polySoak := flag.Bool("poly", false, "deprecated: use -scenario polysoak")
-	storm := flag.Bool("storm", false, "deprecated: use -scenario stormsoak")
-	memctlMode := flag.Bool("memctl", false, "close the loop through the adaptive memory controller; alone it is deprecated for -scenario memctlsoak")
 
 	actionsOut := flag.String("actions", "", "write the controller's action log (memctl scenarios) as JSON to this file")
 	codeName := flag.String("code", "poly-m2005", "registry code decode scenarios run with (overrides the spec's code when set explicitly)")
 	trials := flag.Int("n", 0, "trial budget (default: the scenario's own; per client for the figure campaigns)")
-	injections := flag.Int("injections", 0, "deprecated alias for -n")
 	seed := flag.Int64("seed", 1, "deterministic seed (overrides a spec file's seed when set explicitly)")
 	out := flag.String("o", "", "also write the output to this file")
 	workers := flag.Int("workers", 0, "concurrent trial workers (default GOMAXPROCS; sequential scenarios ignore this)")
@@ -147,20 +141,18 @@ func main() {
 		return
 	}
 
-	s, presetName := resolveSpec(*specPath, *replayPath, *scenarioName, *fig, *polySoak, *storm, *memctlMode, explicit)
+	s, presetName, err := resolveSpec(*specPath, *replayPath, *scenarioName, *memctlMode, explicit)
+	if err != nil {
+		die("%v", err)
+	}
 
 	// Flag overrides: a spec file owns its seed unless -seed is explicit;
-	// presets and the deprecated spellings always take the flag (the
-	// pre-scenario behavior).
+	// presets and replays always take the flag.
 	if *specPath == "" || explicit["seed"] {
 		s.Seed = *seed
 	}
-	n := *trials
-	if n == 0 {
-		n = *injections
-	}
-	if n > 0 {
-		s.SetBudget(n)
+	if *trials > 0 {
+		s.SetBudget(*trials)
 	}
 	if explicit["code"] {
 		s.Code = *codeName
@@ -263,7 +255,7 @@ func main() {
 		rec.Start()
 	}
 
-	opts := exp.CampaignOpts{
+	opts := scenario.Opts{
 		Workers:         *workers,
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckptEvery,
@@ -328,7 +320,7 @@ func main() {
 		telemetry.Fatal(logger, "scenario failed", "name", s.Name, "err", err)
 	}
 	run := res.Campaign
-	text := renderText(presetName, s, res)
+	text := res.Render()
 
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -444,89 +436,47 @@ func main() {
 	rec.Stop()
 }
 
-// resolveSpec picks the scenario to run: an explicit spec file, a
-// journal replay, a named preset, or one of the deprecated flag
-// spellings (which print an equivalence note to stderr). The bare
-// invocation keeps its historical meaning and runs figure4.
-func resolveSpec(specPath, replayPath, scenarioName string, fig int, polySoak, storm, memctlMode bool, explicit map[string]bool) (*scenario.Spec, string) {
-	deprecated := func(old, preset string) *scenario.Spec {
-		fmt.Fprintf(os.Stderr, "faultinject: note: %s is deprecated; the equivalent preset is `-scenario %s` (identical schedule and counts for the same seed)\n", old, preset)
-		p, _ := scenario.LookupPreset(preset)
-		return p.Spec()
+// resolveSpec picks the scenario to run: an explicit spec file, else
+// a journal replay, else the -scenario preset (figure4 unless set).
+// Naming more than one, or -memctl without -replay, is an error rather
+// than a silent precedence.
+func resolveSpec(specPath, replayPath, scenarioName string, memctlMode bool, explicit map[string]bool) (*scenario.Spec, string, error) {
+	var named []string
+	for _, f := range []string{"spec", "replay", "scenario"} {
+		if explicit[f] {
+			named = append(named, "-"+f)
+		}
+	}
+	if len(named) > 1 {
+		return nil, "", fmt.Errorf("conflicting scenario selectors %s: name the scenario one way", strings.Join(named, " and "))
+	}
+	if memctlMode && replayPath == "" {
+		return nil, "", fmt.Errorf("-memctl only modifies -replay; run the self-healing soak with -scenario memctlsoak")
 	}
 	switch {
 	case specPath != "":
 		s, err := scenario.ParseFile(specPath)
-		if err != nil {
-			die("%v", err)
-		}
-		return s, ""
+		return s, "", err
 	case replayPath != "":
 		s := &scenario.Spec{Name: "replay", Kind: scenario.KindReplay,
 			Replay: &scenario.ReplaySpec{Path: replayPath}}
 		if memctlMode {
 			s.Memctl = &scenario.MemctlSpec{Enabled: true, RegionLines: 64}
 		}
-		return s, ""
-	case scenarioName != "":
-		p, ok := scenario.LookupPreset(scenarioName)
-		if !ok {
-			die("unknown scenario %q (-list-scenarios prints the registry)", scenarioName)
-		}
-		return p.Spec(), p.Name
-	case memctlMode:
-		return deprecated("-memctl", "memctlsoak"), "memctlsoak"
-	case storm:
-		return deprecated("-storm", "stormsoak"), "stormsoak"
-	case polySoak:
-		return deprecated("-poly", "polysoak"), "polysoak"
-	case fig == 5:
-		return deprecated("-fig 5", "figure5"), "figure5"
-	case fig == 4 || fig == 0:
-		if explicit["fig"] {
-			return deprecated("-fig 4", "figure4"), "figure4"
-		}
-		p, _ := scenario.LookupPreset("figure4")
-		return p.Spec(), "figure4"
-	default:
-		die("unknown figure (use 4 or 5)")
-		return nil, ""
+		return s, "", nil
 	}
-}
-
-// renderText keeps the paper-named renderers for the preset campaigns
-// (and the SELF-HEAL verdict line `make heal-smoke` greps for on memctl
-// runs); everything else — spec files, replays — uses the generic
-// scenario renderer.
-func renderText(presetName string, s *scenario.Spec, res *scenario.Result) string {
-	if res.Seq != nil && s.Memctl != nil && s.Memctl.Enabled {
-		return exp.RenderMemctlSoak(*res.Seq) + res.RenderLatency()
+	p, ok := scenario.LookupPreset(scenarioName)
+	if !ok {
+		return nil, "", fmt.Errorf("unknown scenario %q (-list-scenarios prints the registry)", scenarioName)
 	}
-	switch presetName {
-	case "figure4":
-		return exp.RenderFigure4(res.ProgramRows())
-	case "figure5":
-		return exp.RenderFigure5(res.InferenceResults())
-	case "polysoak":
-		return exp.RenderPolySoak(res.Decode()) + res.RenderLatency()
-	}
-	return res.Render()
+	return p.Spec(), p.Name, nil
 }
 
 func printScenarios() {
 	fmt.Println("Built-in scenarios (run with -scenario <name>; -dump-spec exports the resolved spec as JSON):")
 	for _, p := range scenario.Presets() {
 		fmt.Printf("  %-11s %s\n", p.Name, p.Doc)
-		extras := []string{fmt.Sprintf("default budget %d", p.DefaultTrials)}
-		if len(p.Aliases) > 0 {
-			extras = append([]string{"aliases: " + strings.Join(p.Aliases, ", ")}, extras...)
-		}
-		fmt.Printf("              %s\n", strings.Join(extras, "; "))
-	}
-	fmt.Println()
-	fmt.Println("Deprecated flag spellings (still honored, identical schedules for the same seed):")
-	for _, p := range scenario.Presets() {
-		fmt.Printf("  %-9s -> -scenario %s\n", p.Legacy, p.Name)
+		fmt.Printf("              default budget %d\n", p.DefaultTrials)
 	}
 	fmt.Println()
 	fmt.Println("Custom workload mixes are JSON spec files run with -spec; see examples/scenarios/ and EXPERIMENTS.md.")

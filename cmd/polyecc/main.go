@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"time"
 
 	"polyecc/internal/dram"
 	"polyecc/internal/faults"
@@ -126,10 +127,12 @@ func demoPoly(code *poly.Code, journal *telemetry.Journal, inj faults.Injector, 
 	}
 	fmt.Printf("injected %s fault: %d of %d codewords have nonzero remainders\n", inj.Name(), corrupted, code.Words())
 
+	start := time.Now()
 	got, rep := code.DecodeLine(line)
+	elapsed := time.Since(start)
 	rec.RecordDecode(line, &rep, telemetry.Event{}, inj.Name(), rep.Status == poly.StatusCorrected && got != data)
 	fmt.Printf("decode: status=%s model=%s iterations=%d eccFixed=%v elapsed=%s\n",
-		rep.Status, rep.Model, rep.Iterations, rep.ECCFixed, rep.Elapsed)
+		rep.Status, rep.Model, rep.Iterations, rep.ECCFixed, elapsed)
 	for _, fm := range []poly.FaultModel{poly.ModelChipKill, poly.ModelSSC, poly.ModelDEC, poly.ModelBFBF, poly.ModelChipKillPlus1} {
 		if n := rep.TrialsFor(fm); n > 0 {
 			fmt.Printf("  %-11s %d trials\n", fm, n)

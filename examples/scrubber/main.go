@@ -187,10 +187,11 @@ func main() {
 			sdc++
 		}
 	}
-	fmt.Printf("\ntelemetry: decode latency samples=%d, correction-trial histogram %s\n",
-		metrics.Latency.Count(), metrics.Iterations.String())
 	cq := lcoll.Op(latency.OpDecodeClean).Quantiles()
 	xq := lcoll.Op(latency.OpDecodeCorrected).Quantiles()
+	uq := lcoll.Op(latency.OpDecodeUncorrectable).Quantiles()
+	fmt.Printf("\ntelemetry: patrol decode latency samples=%d, correction-trial histogram %s\n",
+		cq.Count+xq.Count+uq.Count, metrics.Iterations.String())
 	fmt.Printf("patrol decode latency (µs): clean p50=%.1f p99=%.1f (n=%d), corrected p50=%.1f p99=%.1f (n=%d)\n",
 		cq.P50/1e3, cq.P99/1e3, cq.Count, xq.P50/1e3, xq.P99/1e3, xq.Count)
 	if sdc > 0 {

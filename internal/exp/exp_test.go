@@ -9,9 +9,36 @@ import (
 	"time"
 
 	"polyecc/internal/linecode"
+	"polyecc/internal/scenario"
 	"polyecc/internal/telemetry"
 	"polyecc/internal/workload"
 )
+
+// presetSpec builds the named scenario preset the way `faultinject
+// -scenario name -n n -seed seed` does: the budget is per client for
+// the figure campaigns and total for the soaks.
+func presetSpec(t *testing.T, name string, n int, seed int64) *scenario.Spec {
+	t.Helper()
+	p, ok := scenario.LookupPreset(name)
+	if !ok {
+		t.Fatalf("no preset %q", name)
+	}
+	s := p.Build()
+	s.Seed = seed
+	s.SetBudget(n)
+	return s
+}
+
+// polySoak runs the "polysoak" preset through the flagship code.
+func polySoak(t *testing.T, ctx context.Context, trials int, seed int64, opts scenario.Opts) scenario.DecodeSummary {
+	t.Helper()
+	opts.Code = linecode.MustNew("poly-m2005")
+	res, err := scenario.Run(ctx, presetSpec(t, "polysoak", trials, seed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Decode()
+}
 
 // Table II shape: even-count Hamming errors are never misdetected
 // (distance 4), odd-count ones mostly are; RS misdetects a few percent
@@ -236,7 +263,7 @@ func TestFigure10Shape(t *testing.T) {
 
 // The miscorrection pool produces nonzero masks.
 func TestMiscorrectionPool(t *testing.T) {
-	pool, err := NewMiscorrectionPool(20, 1)
+	pool, err := scenario.NewMiscorrectionPool(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +290,11 @@ func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("injection campaign")
 	}
-	rows, err := Figure4(30, 5)
+	res, err := scenario.Run(context.Background(), presetSpec(t, "figure4", 30, 5), scenario.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.ProgramRows()
 	if want := 2 * len(workload.Programs()); len(rows) != want {
 		t.Fatalf("rows = %d, want %d (every workload x 2 memory models)", len(rows), want)
 	}
@@ -284,7 +312,7 @@ func TestFigure4Shape(t *testing.T) {
 	if sdcE < sdcNE*0.8 {
 		t.Errorf("suite-wide SDC with encryption (%.1f) markedly below plaintext (%.1f)", sdcE, sdcNE)
 	}
-	if !strings.Contains(RenderFigure4(rows), "Crashed") {
+	if !strings.Contains(res.Render(), "Crashed") {
 		t.Error("render broken")
 	}
 }
@@ -293,10 +321,11 @@ func TestFigure4Shape(t *testing.T) {
 // more near-baseline inferences than plaintext ones (the 16% decrease of
 // the paper), and the FHE campaign reports a >10% drop share.
 func TestFigure5Shape(t *testing.T) {
-	results, err := Figure5(500, 7)
+	res, err := scenario.Run(context.Background(), presetSpec(t, "figure5", 500, 7), scenario.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := res.InferenceResults()
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -315,7 +344,7 @@ func TestFigure5Shape(t *testing.T) {
 	if fhe.BigDropShare == 0 {
 		t.Error("FHE campaign shows no >10% drops; the paper reports 18.5%")
 	}
-	if !strings.Contains(RenderFigure5(results), "cryptonets") {
+	if !strings.Contains(res.Render(), "cryptonets") {
 		t.Error("render broken")
 	}
 }
@@ -436,10 +465,7 @@ func TestPolySoakResumeMatchesUninterrupted(t *testing.T) {
 		t.Skip("injection campaign")
 	}
 	const trials, seed = 300, 9
-	full, err := PolySoakCtx(context.Background(), trials, seed, nil, CampaignOpts{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := polySoak(t, context.Background(), trials, seed, scenario.Opts{Workers: 4})
 	if full.Partial || full.Completed != trials {
 		t.Fatalf("uninterrupted run incomplete: %+v", full)
 	}
@@ -447,18 +473,12 @@ func TestPolySoakResumeMatchesUninterrupted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "soak.ckpt.json")
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
-	interrupted, err := PolySoakCtx(ctx, trials, seed, nil,
-		CampaignOpts{Workers: 2, CheckpointPath: path, CheckpointEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	interrupted := polySoak(t, ctx, trials, seed,
+		scenario.Opts{Workers: 2, CheckpointPath: path, CheckpointEvery: 10})
 	t.Logf("interrupted run completed %d/%d trials", interrupted.Completed, trials)
 
-	resumed, err := PolySoakCtx(context.Background(), trials, seed, nil,
-		CampaignOpts{Workers: 7, CheckpointPath: path, CheckpointEvery: 10, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := polySoak(t, context.Background(), trials, seed,
+		scenario.Opts{Workers: 7, CheckpointPath: path, CheckpointEvery: 10, Resume: true})
 	if resumed.Partial || resumed.Completed != trials {
 		t.Fatalf("resumed run incomplete: %+v", resumed)
 	}
@@ -473,15 +493,16 @@ func TestPolySoakResumeMatchesUninterrupted(t *testing.T) {
 func TestFigure4PartialDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, res, err := Figure4Ctx(ctx, 10, 5, CampaignOpts{})
+	res, err := scenario.Run(ctx, presetSpec(t, "figure4", 10, 5), scenario.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial {
+	rows := res.ProgramRows()
+	if !res.Campaign.Partial {
 		t.Fatal("pre-cancelled campaign not marked partial")
 	}
-	if res.Completed != 0 || len(rows) != 0 {
-		t.Fatalf("pre-cancelled campaign reported rows: completed=%d rows=%d", res.Completed, len(rows))
+	if res.Campaign.Completed != 0 || len(rows) != 0 {
+		t.Fatalf("pre-cancelled campaign reported rows: completed=%d rows=%d", res.Campaign.Completed, len(rows))
 	}
 }
 
@@ -495,12 +516,7 @@ func TestPolySoakJournalsDecodes(t *testing.T) {
 	}
 	const trials, seed = 150, 11
 	j := telemetry.NewJournal(16384)
-	lc := linecode.MustNew("poly-m2005")
-	res, err := PolySoakCode(context.Background(), lc, trials, seed, nil,
-		CampaignOpts{Workers: 3, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := polySoak(t, context.Background(), trials, seed, scenario.Opts{Workers: 3, Journal: j})
 	var anomalies, spans int
 	for _, e := range j.Drain() {
 		switch e.Kind {

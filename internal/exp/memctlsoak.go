@@ -1,44 +1,31 @@
 package exp
 
 import (
-	"context"
-	"fmt"
-	"strings"
 	"time"
 
 	"polyecc/internal/health"
 	"polyecc/internal/memctl"
 	"polyecc/internal/scenario"
-	"polyecc/internal/stats"
 	"polyecc/internal/telemetry"
 )
 
-// The self-healing soak runs on a virtual clock: every trial advances
-// event time by MemctlTickNs from a fixed epoch, so the whole closed
-// loop — injected faults, health trajectory, controller actions — is a
-// pure function of the seed and replays identically from the recorded
-// journal on any machine at any speed.
-const (
-	// MemctlTickNs is the virtual time per trial: 2ms, i.e. 500
-	// trials/sec of simulated traffic.
-	MemctlTickNs = scenario.MemctlTickNs
-	// memctlStrongCodec is the top of the default migration ladder: the
-	// 16-bit-symbol instance regions are re-encoded with when their
-	// error rate crosses the migration threshold.
-	memctlStrongCodec = "poly-m131049"
-)
+// memctlStrongCodec is the top of the default migration ladder: the
+// 16-bit-symbol instance regions are re-encoded with when their error
+// rate crosses the migration threshold.
+const memctlStrongCodec = "poly-m131049"
 
 // MemctlSoakHealth is the health engine configuration of the
-// self-healing soak: 250ms decision epochs, a 4s slow window and 1s
-// fast window, and SLO budgets scaled so the background error floor
-// burns at ~0.5x while the storm burns two orders of magnitude hotter.
+// self-healing soak (the "memctlsoak" scenario preset): 250ms decision
+// epochs, a 4s slow window and 1s fast window, and SLO budgets scaled
+// so the background error floor burns at ~0.5x while the storm burns
+// two orders of magnitude hotter.
 func MemctlSoakHealth() health.Config {
 	return health.Config{
 		BucketNs:          250 * int64(time.Millisecond),
 		WindowBuckets:     16,
 		FastWindowBuckets: 4,
 		RegionLines:       64,
-		RowLines:          StormRowLines,
+		RowLines:          scenario.StormRowLines,
 		BudgetCorrected:   2,
 		BudgetDUE:         0.5,
 		BudgetSDC:         0.05,
@@ -51,7 +38,8 @@ func MemctlSoakHealth() health.Config {
 // 250ms decision epoch so a storm escalates within a bucket or two,
 // quarantined lines release after 2s of calm, a flapping line retires
 // on its third strike, and the codec ladder climbs from the driven code
-// to the 16-bit-symbol instance.
+// to the 16-bit-symbol instance. Sharing the journal j with the
+// scenario run is what closes the loop.
 func MemctlSoakConfig(codeName string, j *telemetry.Journal) memctl.Config {
 	ladder := []string{codeName}
 	if codeName != memctlStrongCodec {
@@ -73,85 +61,4 @@ func MemctlSoakConfig(codeName string, j *telemetry.Journal) memctl.Config {
 		MigrateRate:     8,
 		MaxActions:      4096,
 	}
-}
-
-// MemctlPhase summarizes one phase of the self-healing soak.
-type MemctlPhase = scenario.SeqPhase
-
-// MemctlSoakResult summarizes one self-healing storm soak.
-type MemctlSoakResult = scenario.SeqResult
-
-// MemctlStorm drives the closed self-healing loop — the "memctlsoak"
-// scenario preset: a three-phase seeded workload (background noise, a
-// rowhammer storm on one seed-derived aggressor row, recovery) decodes
-// through the codec the controller currently assigns each region,
-// journals every anomaly with its virtual timestamp, and synchronously
-// feeds the journal back into the controller after every trial.
-// Controller decisions steer the next trial: quarantined and retired
-// lines are fenced (Blocked), a decided trial-order reorder is applied
-// to the decoder via poly.Code.WithModels, and migrated regions
-// re-encode through the next codec on the ladder.
-//
-// The caller builds ctl from MemctlSoakConfig(codeName, j) — sharing
-// the journal is what closes the loop — and may also serve it as the
-// /memctl endpoint while the soak runs. j must be enabled.
-func MemctlStorm(ctx context.Context, codeName string, trials int, seed int64, m *telemetry.DecodeMetrics, j *telemetry.Journal, ctl *memctl.Controller) (MemctlSoakResult, error) {
-	s := presetSpec("memctlsoak", trials, seed)
-	s.Code = codeName
-	res, err := scenario.Run(ctx, s, scenario.Opts{Journal: j, Metrics: m, Controller: ctl})
-	if res == nil || res.Seq == nil {
-		return MemctlSoakResult{Code: codeName, Trials: trials}, err
-	}
-	return *res.Seq, err
-}
-
-// RenderMemctlSoak formats a self-healing soak summary, ending with the
-// SELF-HEAL verdict line `make heal-smoke` greps for.
-func RenderMemctlSoak(res MemctlSoakResult) string {
-	title := fmt.Sprintf("Self-healing storm soak: %s, aggressor row %d (victims %d/%d)",
-		res.Code, res.AggressorRow, res.AggressorRow-1, res.AggressorRow+1)
-	if res.Partial {
-		title += fmt.Sprintf(" (PARTIAL: %d/%d trials)", res.Completed, res.Trials)
-	}
-	t := stats.NewTable(title,
-		"Phase", "Trials", "Hammer", "Blocked", "Clean", "Corrected", "DUE", "SDC", "Worst", "End")
-	for _, ph := range res.Phases {
-		t.AddRow(ph.Name, ph.Trials, ph.Hammer, ph.Blocked, ph.Clean, ph.Corrected, ph.DUE, ph.SDC, ph.Worst, ph.End)
-	}
-	out := t.String()
-
-	kinds := []string{memctl.ActionScrubEscalate, memctl.ActionQuarantine, memctl.ActionRelease,
-		memctl.ActionRetire, memctl.ActionMigrate, memctl.ActionReorder, memctl.ActionScrubRelax}
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		if n := res.Actions[k]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "none")
-	}
-	out += "controller actions: " + strings.Join(parts, " ") + "\n"
-	if len(res.ModelOrder) > 0 {
-		out += "decoder trial order: " + strings.Join(res.ModelOrder, " > ") + "\n"
-	}
-	if len(res.RetiredPages) > 0 {
-		pages := make([]string, len(res.RetiredPages))
-		for i, p := range res.RetiredPages {
-			pages[i] = fmt.Sprintf("%d", p)
-		}
-		out += "retired pages: " + strings.Join(pages, " ") + "\n"
-	}
-	for _, mig := range res.Migrations {
-		out += fmt.Sprintf("region %d migrated to %s\n", mig.Region, mig.Codec)
-	}
-	out += fmt.Sprintf("scrub cadence: peak level %d, final interval %s\n", res.ScrubPeak, res.FinalScrub)
-	if res.Healed {
-		out += fmt.Sprintf("SELF-HEAL OK: storm drove health to %s; the controller escalated the patrol, fenced the victim rows, and health recovered to %s\n",
-			strings.ToUpper(res.StormWorst), strings.ToUpper(res.FinalStatus))
-	} else {
-		out += fmt.Sprintf("SELF-HEAL INCOMPLETE: storm worst %s, final %s, actions %v\n",
-			res.StormWorst, res.FinalStatus, res.Actions)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"polyecc/internal/memctl"
+	"polyecc/internal/scenario"
 	"polyecc/internal/telemetry"
 )
 
@@ -22,11 +23,14 @@ func TestMemctlSoakHealsAndReplaysDeterministically(t *testing.T) {
 	const codeName = "poly-m2005"
 	j := telemetry.NewJournal(8192)
 	ctl := memctl.MustNew(MemctlSoakConfig(codeName, j))
-	res, err := MemctlStorm(context.Background(), codeName, 8000, 1,
-		telemetry.NewDecodeMetrics(), j, ctl)
+	s := presetSpec(t, "memctlsoak", 8000, 1)
+	s.Code = codeName
+	run, err := scenario.Run(context.Background(), s, scenario.Opts{
+		Journal: j, Metrics: telemetry.NewDecodeMetrics(), Controller: ctl})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Seq
 
 	if !res.Healed {
 		t.Fatalf("soak did not heal: %+v", res)
@@ -43,7 +47,7 @@ func TestMemctlSoakHealsAndReplaysDeterministically(t *testing.T) {
 	if len(res.RetiredPages) == 0 {
 		t.Fatal("aggressor page not retired")
 	}
-	if out := RenderMemctlSoak(res); !strings.Contains(out, "SELF-HEAL OK") {
+	if out := run.Render(); !strings.Contains(out, "SELF-HEAL OK") {
 		t.Fatalf("render missing the SELF-HEAL OK marker:\n%s", out)
 	}
 

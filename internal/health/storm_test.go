@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"polyecc/internal/exp"
 	"polyecc/internal/health"
 	"polyecc/internal/linecode"
+	"polyecc/internal/scenario"
 	"polyecc/internal/telemetry"
 )
 
@@ -26,16 +26,23 @@ func TestStormSoakPagesWithRowhammerSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RowhammerStorm(context.Background(), lc, trials, seed,
-		telemetry.NewDecodeMetrics(), exp.CampaignOpts{Journal: j})
+	p, ok := scenario.LookupPreset("stormsoak")
+	if !ok {
+		t.Fatal("stormsoak preset missing")
+	}
+	s := p.Build()
+	s.Seed = seed
+	s.SetBudget(trials)
+	res, err := scenario.Run(context.Background(), s, scenario.Opts{
+		Journal: j, Metrics: telemetry.NewDecodeMetrics(), Code: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != trials {
-		t.Fatalf("completed %d/%d trials", res.Completed, trials)
+	if res.Campaign.Completed != trials {
+		t.Fatalf("completed %d/%d trials", res.Campaign.Completed, trials)
 	}
-	if res.Corrected < trials/2 {
-		t.Fatalf("storm corrected only %d of %d trials — not a storm", res.Corrected, trials)
+	if corrected := res.Campaign.Count("corrected"); corrected < trials/2 {
+		t.Fatalf("storm corrected only %d of %d trials — not a storm", corrected, trials)
 	}
 
 	// Replay the journal on a synthetic clock: one event per millisecond,
@@ -85,8 +92,8 @@ func TestStormSoakPagesWithRowhammerSignature(t *testing.T) {
 	}
 	// The heatmap must concentrate the errors in the two victim rows'
 	// regions, not spread them uniformly.
-	victimRegionLo := (res.AggressorRow - 1) * exp.StormRowLines / 64
-	victimRegionHi := (res.AggressorRow + 1) * exp.StormRowLines / 64
+	victimRegionLo := (res.AggressorRow - 1) * scenario.StormRowLines / 64
+	victimRegionHi := (res.AggressorRow + 1) * scenario.StormRowLines / 64
 	var victimHits, totalHits int64
 	for _, r := range snap.Regions {
 		n := r.Corrected + r.SDC + r.DUE

@@ -48,8 +48,8 @@ type Report struct {
 	// the per-decode view of §VIII-C's N budget analysis.
 	PerModelTrials [NumFaultModels]int
 	// Elapsed is the DecodeLine wall time. It is populated only when the
-	// Code was built with a Metrics collector or Trace hook — the bare
-	// decode path skips the clock reads entirely.
+	// Code carries a latency probe (Config.Latency or WithLatency); every
+	// other decode skips the clock reads entirely.
 	Elapsed time.Duration
 }
 
@@ -67,10 +67,11 @@ func (r *Report) TrialsFor(m FaultModel) int {
 // report. When the status is StatusUncorrectable the data is the
 // best-effort assembly of the uncorrected line.
 //
-// When the Code carries telemetry (Config.Metrics or Config.Trace) each
-// decode also stamps Report.Elapsed, feeds the collector, and invokes
-// the trace hook per correction trial; an uninstrumented Code pays none
-// of that.
+// When the Code carries telemetry each decode also feeds the collector
+// (Config.Metrics), invokes the trace hook per correction trial
+// (Config.Trace), and times itself into the probe, stamping
+// Report.Elapsed (Config.Latency); an uninstrumented Code pays none of
+// that.
 func (c *Code) DecodeLine(l Line) ([LineBytes]byte, Report) {
 	s := c.pool.Get().(*Scratch)
 	data, rep := c.DecodeLineScratch(l, s)

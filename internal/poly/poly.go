@@ -98,8 +98,8 @@ type Config struct {
 	TryZeroRemainder bool
 
 	// Metrics, when non-nil, receives every decode's outcome counters,
-	// per-fault-model trial/hit counters, and iteration/latency
-	// histograms. One collector may be shared across Codes and
+	// per-fault-model trial/hit counters, and the iteration histogram;
+	// it never reads the clock (timing is Latency's). One collector may be shared across Codes and
 	// goroutines; see telemetry.DecodeMetrics.Publish for expvar wiring.
 	Metrics *telemetry.DecodeMetrics
 	// Trace, when non-nil, observes every correction trial (the

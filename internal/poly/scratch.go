@@ -43,15 +43,6 @@ type Scratch struct {
 	macState mac.IncState
 	macSaved bool
 
-	// Metrics-only latency sampling (see DecodeLineScratch): latSkip
-	// counts decodes remaining until the next clock read; latHeld is the
-	// most recent sampled duration, re-observed (via its precomputed
-	// histogram bucket) for the unsampled decodes in between so
-	// Latency.Count() tracks the true decode count.
-	latSkip       int
-	latHeld       time.Duration
-	latHeldBucket int
-
 	// Batch-decode tile buffers: DecodeLines gathers a tile's codewords
 	// flat into tileWords and folds their remainders into tileRems in
 	// one pass (residue.Tables.RemainderBatch). remsPrimed tells the
@@ -192,51 +183,24 @@ func (c *Code) FromBurstScratch(b *dram.Burst, s *Scratch) Line {
 	return Line{Words: s.dec}
 }
 
-// latSampleEvery is the metrics-only timing sample period: one decode
-// in every latSampleEvery reads the clock. On machines where a
-// time.Now/Since pair costs ~85ns (more than half the clean decode
-// itself) per-decode timestamps would dominate the instrumented
-// overhead; sampling amortizes the clock to ~1ns/decode while the
-// counters — which are exact — cost ~20ns.
-const latSampleEvery = 8
-
 // DecodeLineScratch is DecodeLine running entirely inside s: clean
 // decodes perform no heap allocation. The returned data is a copy the
-// caller owns. Instrumentation (Config.Metrics/Config.Trace) behaves
-// exactly as in DecodeLine.
-//
-// Timing granularity: a Code with a latency probe or trace hook times
-// every decode. A metrics-only Code samples the clock once per
-// latSampleEvery decodes on each Scratch — Report.Elapsed is stamped
-// only on sampled decodes (zero otherwise), and the in-between decodes
-// re-observe the held sample so the latency histogram's Count stays
-// exact while its distribution is a sampled estimate. Counters
-// (Clean/Corrected/ModelHits/trials) are always exact.
+// caller owns. Instrumentation behaves exactly as in DecodeLine: only a
+// Code with a latency probe reads the clock (and stamps
+// Report.Elapsed); metrics counters and the trace hook never do.
 func (c *Code) DecodeLineScratch(l Line, s *Scratch) ([LineBytes]byte, Report) {
 	c.checkScratch(s)
-	if !c.instrumented() {
-		return c.decodeLine(l, s)
+	var start time.Time
+	if c.latency != nil {
+		start = time.Now()
 	}
-	if c.latency == nil && c.trace == nil && s.latSkip > 0 {
-		s.latSkip--
-		data, rep := c.decodeLine(l, s)
-		c.observe(&rep)
-		c.metrics.Latency.ObserveInBucket(s.latHeldBucket, int64(s.latHeld))
-		return data, rep
-	}
-	start := time.Now()
 	data, rep := c.decodeLine(l, s)
-	rep.Elapsed = time.Since(start)
+	if c.latency != nil {
+		rep.Elapsed = time.Since(start)
+		c.latency.Observe(decodeOp(rep.Status), rep.Elapsed)
+	}
 	if c.metrics != nil {
 		c.observe(&rep)
-		c.metrics.ObserveLatency(rep.Elapsed)
-	}
-	if c.latency != nil {
-		c.latency.Observe(decodeOp(rep.Status), rep.Elapsed)
-	} else if c.trace == nil {
-		s.latSkip = latSampleEvery - 1
-		s.latHeld = rep.Elapsed
-		s.latHeldBucket = c.metrics.Latency.BucketOf(int64(rep.Elapsed))
 	}
 	return data, rep
 }

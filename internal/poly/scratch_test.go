@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"polyecc/internal/latency"
 	"polyecc/internal/mac"
 	"polyecc/internal/telemetry"
 )
@@ -150,7 +151,7 @@ func TestScratchGeometryGuard(t *testing.T) {
 // decodes identically and feeds the collector.
 func TestWithMetricsSharesTables(t *testing.T) {
 	c := testCodeM2005(t)
-	ci := c.WithMetrics(telemetry.NewDecodeMetrics())
+	ci := c.WithMetrics(telemetry.NewDecodeMetrics()).WithLatency(latency.NewCollector().Probe())
 	var data [LineBytes]byte
 	rand.New(rand.NewSource(5)).Read(data[:])
 	l := c.EncodeLine(&data)
@@ -159,7 +160,7 @@ func TestWithMetricsSharesTables(t *testing.T) {
 		t.Fatalf("instrumented copy misdecoded: %+v", rep)
 	}
 	if rep.Elapsed == 0 {
-		t.Error("instrumented copy did not stamp Elapsed")
+		t.Error("latency-attached copy did not stamp Elapsed")
 	}
 }
 

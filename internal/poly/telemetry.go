@@ -29,10 +29,7 @@ type TraceEvent struct {
 // across goroutines must be safe for concurrent use.
 type TraceFunc func(TraceEvent)
 
-// observe feeds one decode's counters into the attached collector; the
-// latency histogram is fed separately by DecodeLineScratch (timed
-// decodes search for their bucket, unsampled metrics-only decodes reuse
-// the held sample's cached bucket).
+// observe feeds one decode's counters into the attached collector.
 func (c *Code) observe(rep *Report) {
 	m := c.metrics
 	switch rep.Status {
@@ -69,12 +66,6 @@ func (c *Code) observe(rep *Report) {
 			}
 		}
 	}
-}
-
-// instrumented reports whether this Code pays for the clock reads that
-// populate Report.Elapsed.
-func (c *Code) instrumented() bool {
-	return c.metrics != nil || c.trace != nil || c.latency != nil
 }
 
 // decodeOp classifies a decode outcome into its latency operation

@@ -78,7 +78,7 @@ type Result struct {
 }
 
 // Run executes a validated spec. This is the one engine behind every
-// campaign driver: the legacy Figure 4/5 drivers, the soaks, and any
+// campaign: the Figure 4/5 presets, the soaks, replays, and any
 // user-authored -spec file all flow through here, so workers/timeout/
 // checkpoint/journal wiring exists exactly once (Opts).
 func Run(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
@@ -240,7 +240,7 @@ func (p *plan) phaseIdx(index int) int {
 
 // pickClient selects the trial's client. A single active client draws
 // nothing — the rule that keeps single-client presets (the soaks) on
-// their legacy RNG sequences.
+// the RNG sequences their golden counts pin.
 func (p *plan) pickClient(r *rand.Rand, ph *phaseSpan) int {
 	if len(ph.active) == 1 {
 		return ph.active[0]
@@ -499,9 +499,9 @@ func runDecode(ctx context.Context, s *Spec, opts Opts) (*Result, error) {
 
 // --- derived summaries ------------------------------------------------------
 
-// DecodeSummary is the outcome digest of a decode (or replay) scenario.
-// Its fields mirror the legacy in-model soak result, plus the scenario
-// extras (per-client counts, the aggressor row).
+// DecodeSummary is the outcome digest of a decode (or replay) scenario:
+// outcome counts plus the scenario extras (per-client counts, the
+// aggressor row).
 type DecodeSummary struct {
 	Code          string // display name of the decoded scheme
 	Trials        int    // requested budget

@@ -11,9 +11,9 @@ import (
 // Opts are the operator knobs shared by every scenario run — the
 // cmd/faultinject -workers, -checkpoint, -checkpoint-every, and -resume
 // flags. This is the one place workers/timeout/checkpoint/journal
-// wiring exists; internal/exp's CampaignOpts is an alias of it and
-// every driver (preset or user spec) flows through config() below. The
-// zero value runs in-memory with GOMAXPROCS workers.
+// wiring exists; every run (preset, spec file or replay) flows through
+// config() below. The zero value runs in-memory with GOMAXPROCS
+// workers.
 type Opts struct {
 	// Workers is the concurrent trial goroutine count (default
 	// GOMAXPROCS). Sequential scenarios (memctl/scrub/standing faults)

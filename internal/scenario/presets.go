@@ -6,21 +6,16 @@ import (
 	"polyecc/internal/workload"
 )
 
-// Preset is one built-in scenario: a legacy campaign driver re-expressed
-// as a spec. `faultinject -scenario <name>` runs it; `faultinject
-// -list-scenarios` prints this registry.
+// Preset is one built-in scenario: one of the paper's evaluation
+// campaigns expressed as a spec. `faultinject -scenario <name>` runs
+// it; `faultinject -list-scenarios` prints this registry.
 type Preset struct {
-	// Name is the canonical scenario name.
+	// Name is the name -scenario takes.
 	Name string
-	// Aliases are accepted spellings (the legacy flag vocabulary).
-	Aliases []string
 	// Doc is the one-line description shown by -list-scenarios.
 	Doc string
-	// Legacy is the deprecated flag form the preset replaces.
-	Legacy string
-	// DefaultTrials is the budget used when the caller sets none — the
-	// legacy flag default, in the same per-client/total sense SetBudget
-	// applies.
+	// DefaultTrials is the budget used when the caller sets none, in
+	// the same per-client/total sense SetBudget applies.
 	DefaultTrials int
 	// Build assembles a fresh spec (no trial budget; callers apply
 	// SetBudget and may override Seed/Code).
@@ -30,9 +25,7 @@ type Preset struct {
 var presets = []Preset{
 	{
 		Name:          "figure4",
-		Aliases:       []string{"fig4"},
 		Doc:           "§III-B program study: paired RS-miscorrection injections into plaintext (NE) vs encrypted (E) memory for every synthetic workload",
-		Legacy:        "-fig 4",
 		DefaultTrials: 2000,
 		Build: func() *Spec {
 			s := &Spec{Name: "figure4", Kind: KindPrograms, Seed: 5}
@@ -47,9 +40,7 @@ var presets = []Preset{
 	},
 	{
 		Name:          "figure5",
-		Aliases:       []string{"fig5"},
 		Doc:           "§III-C inference study: one corrupted weight cacheline per trial, accuracy histograms for plain, encrypted, and FHE-like models",
-		Legacy:        "-fig 5",
 		DefaultTrials: 2500,
 		Build: func() *Spec {
 			return &Spec{
@@ -70,9 +61,7 @@ var presets = []Preset{
 	},
 	{
 		Name:          "polysoak",
-		Aliases:       []string{"poly", "soak"},
 		Doc:           "live in-model soak: uniform draws over the five in-model injectors through the Polymorphic decode path, every trial faulted",
-		Legacy:        "-poly",
 		DefaultTrials: 2000,
 		Build: func() *Spec {
 			return &Spec{
@@ -85,9 +74,7 @@ var presets = []Preset{
 	},
 	{
 		Name:          "stormsoak",
-		Aliases:       []string{"storm"},
 		Doc:           "rowhammer storm: 90% of trials hammer one seed-derived aggressor row over a floor of uniform in-model background faults",
-		Legacy:        "-storm",
 		DefaultTrials: 4000,
 		Build: func() *Spec {
 			return &Spec{
@@ -105,9 +92,7 @@ var presets = []Preset{
 	},
 	{
 		Name:          "memctlsoak",
-		Aliases:       []string{"memctl"},
 		Doc:           "self-healing storm soak: three-phase virtual-clock storm closed through the adaptive memory controller (quarantine, scrub cadence, model reorder, codec migration)",
-		Legacy:        "-memctl",
 		DefaultTrials: 8000,
 		Build: func() *Spec {
 			return &Spec{
@@ -140,17 +125,11 @@ func Presets() []Preset {
 	return out
 }
 
-// LookupPreset resolves a preset by name or alias.
+// LookupPreset resolves a preset by its name.
 func LookupPreset(name string) (*Preset, bool) {
 	for i := range presets {
-		p := &presets[i]
-		if p.Name == name {
-			return p, true
-		}
-		for _, a := range p.Aliases {
-			if a == name {
-				return p, true
-			}
+		if presets[i].Name == name {
+			return &presets[i], true
 		}
 	}
 	return nil, false

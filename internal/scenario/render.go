@@ -10,9 +10,8 @@ import (
 )
 
 // Render formats the run for the terminal: a kind-appropriate outcome
-// table plus the scenario digest. The legacy drivers keep their exact
-// legacy renderers (internal/exp); this generic form serves -spec runs
-// and replays.
+// table plus the scenario digest. Presets, spec files and replays all
+// print through it.
 func (r *Result) Render() string {
 	switch r.Spec.Kind {
 	case KindPrograms:
@@ -85,14 +84,15 @@ func (r *Result) renderDecode() string {
 	if len(r.Schedule) > 0 {
 		out += fmt.Sprintf("replayed %d recorded anomalies\n", len(r.Schedule))
 	}
-	out += r.RenderLatency()
+	out += r.renderLatency()
 	return out
 }
 
 func (r *Result) renderSeq() string {
 	seq := r.Seq
+	memctlOn := r.Spec.Memctl != nil && r.Spec.Memctl.Enabled
 	what := "virtual-clock run"
-	if r.Spec.Memctl != nil && r.Spec.Memctl.Enabled {
+	if memctlOn {
 		what = "closed-loop run through the memory controller"
 	}
 	if seq.AggressorRow >= 0 {
@@ -105,22 +105,24 @@ func (r *Result) renderSeq() string {
 		t.AddRow(ph.Name, ph.Trials, ph.Hammer, ph.Blocked, ph.Clean, ph.Corrected, ph.DUE, ph.SDC, ph.Worst, ph.End)
 	}
 	out := t.String()
-	if len(seq.Actions) > 0 {
-		parts := make([]string, 0, len(seq.Actions))
-		kinds := make([]string, 0, len(seq.Actions))
-		for k := range seq.Actions {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			if n := seq.Actions[k]; n > 0 {
+	if memctlOn {
+		var parts []string
+		for k, n := range seq.Actions {
+			if n > 0 {
 				parts = append(parts, fmt.Sprintf("%s=%d", k, n))
 			}
+		}
+		sort.Strings(parts)
+		if len(parts) == 0 {
+			parts = []string{"none"}
 		}
 		out += "controller actions: " + strings.Join(parts, " ") + "\n"
 	}
 	if len(seq.ModelOrder) > 0 {
 		out += "decoder trial order: " + strings.Join(seq.ModelOrder, " > ") + "\n"
+	}
+	if len(seq.RetiredPages) > 0 {
+		out += "retired pages: " + strings.Trim(fmt.Sprint(seq.RetiredPages), "[]") + "\n"
 	}
 	for _, mig := range seq.Migrations {
 		out += fmt.Sprintf("region %d migrated to %s\n", mig.Region, mig.Codec)
@@ -134,14 +136,23 @@ func (r *Result) renderSeq() string {
 	if len(r.Schedule) > 0 {
 		out += fmt.Sprintf("replayed %d recorded anomalies\n", len(r.Schedule))
 	}
-	out += r.RenderLatency()
+	if memctlOn {
+		// The closed-loop verdict; `make heal-smoke` greps for SELF-HEAL OK.
+		if seq.Healed {
+			out += fmt.Sprintf("SELF-HEAL OK: storm drove health to %s; the controller escalated the patrol, fenced the victim rows, and health recovered to %s\n",
+				strings.ToUpper(seq.StormWorst), strings.ToUpper(seq.FinalStatus))
+		} else {
+			out += fmt.Sprintf("SELF-HEAL INCOMPLETE: storm worst %s, final %s\n", seq.StormWorst, seq.FinalStatus)
+		}
+	}
+	out += r.renderLatency()
 	return out
 }
 
-// RenderLatency prints the run's latency digest: percentile lines per
+// renderLatency prints the run's latency digest: percentile lines per
 // decode-outcome class, then per client and per phase when recorded.
-// Empty without a digest, so preset renderers can append it blindly.
-func (r *Result) RenderLatency() string {
+// Empty without a digest.
+func (r *Result) renderLatency() string {
 	d := r.Latency
 	if d == nil {
 		return ""

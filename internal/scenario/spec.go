@@ -612,9 +612,9 @@ func (s *Spec) validatePhases() error {
 	return nil
 }
 
-// SetBudget scales the spec to n injections in the legacy flag sense:
-// per client for the block-stratified kinds (the -injections meaning of
-// -fig 4/5), total otherwise.
+// SetBudget scales the spec to n injections in the sense of
+// `faultinject -n`: per client for the block-stratified kinds (the
+// figure4/figure5 campaigns), total otherwise.
 func (s *Spec) SetBudget(n int) {
 	if n <= 0 {
 		return

@@ -64,14 +64,19 @@ func TestPresetSpecsValidate(t *testing.T) {
 	}
 }
 
+// Presets resolve by their canonical names only; the retired alias
+// spellings are unknown names.
 func TestLookupPresetAliases(t *testing.T) {
-	for _, spelling := range []string{"figure4", "fig4", "poly", "soak", "storm", "memctl", "fig5"} {
-		if _, ok := scenario.LookupPreset(spelling); !ok {
-			t.Errorf("LookupPreset(%q) missed", spelling)
+	for _, name := range []string{"figure4", "figure5", "polysoak", "stormsoak", "memctlsoak"} {
+		if p, ok := scenario.LookupPreset(name); !ok || p.Name != name {
+			t.Errorf("LookupPreset(%q) missed", name)
 		}
 	}
-	if _, ok := scenario.LookupPreset("no-such-scenario"); ok {
-		t.Error("LookupPreset accepted an unknown name")
+	// The retired alias spellings no longer resolve: a preset has one name.
+	for _, alias := range []string{"fig4", "fig5", "poly", "soak", "storm", "memctl", "no-such-scenario"} {
+		if _, ok := scenario.LookupPreset(alias); ok {
+			t.Errorf("LookupPreset accepted %q; only canonical names resolve", alias)
+		}
 	}
 }
 

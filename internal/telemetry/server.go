@@ -144,8 +144,8 @@ func regionsHandler(v Vitals) http.HandlerFunc {
 	}
 }
 
-// promName maps an expvar name ("decode.latency_ns") to a legal
-// Prometheus metric name ("decode_latency_ns").
+// promName maps an expvar name ("decode.iterations") to a legal
+// Prometheus metric name ("decode_iterations").
 func promName(name string) string {
 	var b strings.Builder
 	for i, r := range name {

@@ -23,10 +23,11 @@
 // sub-channel; the Sim* helpers expose the paper's fault models.
 //
 // The decode path is observable: attach a DecodeMetrics collector
-// (Config.Metrics) for outcome/per-model counters and
-// iteration/latency histograms, a TraceFunc (Config.Trace) for
-// per-trial events, and serve everything live with ServeMetrics
-// (/debug/vars + /debug/pprof). Both are strictly opt-in; an
+// (Config.Metrics) for outcome/per-model counters and the iteration
+// histogram, a TraceFunc (Config.Trace) for per-trial events, and
+// serve everything live with ServeMetrics (/debug/vars +
+// /debug/pprof). Both are strictly opt-in and neither reads the clock;
+// decode timing comes only from a latency probe (Config.Latency). An
 // uninstrumented Code pays nothing.
 package polyecc
 
@@ -68,8 +69,8 @@ type (
 	Injector = faults.Injector
 
 	// DecodeMetrics collects live decode-path telemetry: outcome
-	// counters, per-fault-model trial/hit counters, and
-	// iteration/latency histograms. Attach one via Config.Metrics and
+	// counters, per-fault-model trial/hit counters, and the iteration
+	// histogram. Attach one via Config.Metrics and
 	// publish it to /debug/vars with its Publish method.
 	DecodeMetrics = telemetry.DecodeMetrics
 	// TraceEvent describes one candidate application within a
